@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test clippy bench-compile bench-sweep bench-xor bench-plane bench-scale bench-trace bench-ghz bench-topology bench-serve repro-quick trace-quick perf-diff test-stat test-topology test-serve serve-soak
+.PHONY: ci build test clippy bench-compile ledgerbench-smoke bench-sweep bench-xor bench-plane bench-scale bench-trace bench-ghz bench-topology bench-serve repro-quick trace-quick perf-diff test-stat test-topology test-serve serve-soak
 
-ci: build test clippy bench-compile repro-quick
+ci: build test clippy bench-compile ledgerbench-smoke repro-quick
 
 build:
 	$(CARGO) build --release
@@ -19,6 +19,14 @@ clippy:
 # All bench harnesses must keep building even when not run.
 bench-compile:
 	$(CARGO) bench --no-run
+
+# The repository benchmark (ledgerbench/) has its own manifest, so
+# `test` does not cover it. Smoke mode runs every workload at quick
+# budgets and exits non-zero on any failed correctness check; then its
+# unit tests.
+ledgerbench-smoke:
+	$(CARGO) run --release --offline --quiet --manifest-path ledgerbench/Cargo.toml -- --smoke
+	$(CARGO) test --release --offline --manifest-path ledgerbench/Cargo.toml
 
 # Spawn-per-point vs pooled executor + CorrelationBox sampling kernels
 # + obs on/off overhead.

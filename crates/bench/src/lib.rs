@@ -9,11 +9,11 @@
 //! budgets and can serialize each report as a JSON-lines artifact
 //! (`repro <exp> --json` / `--out <dir>`).
 //!
-//! Heavy sweeps run on the shared `runtime` work-stealing pool
+//! Heavy sweeps run on the shared `runtime` chunk-cursor pool
 //! (`runtime::par_map` / `runtime::par_sweep`; CPU-bound work, so an
 //! async runtime is the wrong tool). Every point is seeded
 //! deterministically from its coordinates so results are bit-identical
-//! regardless of worker count or steal order. `QNLG_THREADS` overrides
+//! regardless of worker count or scheduling order. `QNLG_THREADS` overrides
 //! the pool size.
 
 pub mod experiments;

@@ -1,8 +1,8 @@
 //! # qnlg-obs — std-only metrics and tracing
 //!
 //! The observability layer of the workspace: every simulation and sweep
-//! can record *how* it behaved (events processed, pairs dropped, steal
-//! balance, wall-clock per labelled region) without changing *what* it
+//! can record *how* it behaved (events processed, pairs dropped, worker
+//! busy time, wall-clock per labelled region) without changing *what* it
 //! computes. Three design rules:
 //!
 //! 1. **std-only.** Atomics, `Mutex<HashMap>`, `Instant` — nothing else

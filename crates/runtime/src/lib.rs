@@ -4,7 +4,8 @@
 //! grid. This crate gives the workspace one way to run those sweeps:
 //!
 //! - [`par_map`] / [`par_map_threads`] — a fixed-size scoped worker pool
-//!   with chunked work-stealing deques (no dependency beyond `std`),
+//!   whose idle workers claim contiguous chunks from one atomic chunk
+//!   cursor (no dependency beyond `std`),
 //!   replacing the old spawn-one-thread-per-point pattern.
 //! - [`par_sweep`] / [`par_sweep_threads`] — the same pool plus
 //!   *deterministic RNG stream splitting*: each point's generator is

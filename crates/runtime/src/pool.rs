@@ -1,31 +1,27 @@
-//! The sweep executor: a fixed-size scoped worker pool over a chunked
-//! work-stealing queue.
+//! The sweep executor: a fixed-size scoped worker pool over one atomic
+//! chunk cursor.
 //!
 //! Replaces the bench harness's historical spawn-one-OS-thread-per-point
-//! pattern (60+ threads for a Figure-4 sweep). Work is split into
-//! contiguous index chunks distributed round-robin across per-worker
-//! deques; a worker drains its own deque from the front and steals from
-//! the back of its neighbors' when empty. Results carry their item index,
-//! so output order — and therefore every downstream table — is
-//! independent of scheduling.
+//! pattern (60+ threads for a Figure-4 sweep). Idle workers claim the next
+//! contiguous index chunk with one `fetch_add`, so skewed point costs
+//! balance themselves with no queue to lock. Each worker hands its
+//! `(index, result)` pairs over once, under the single result lock, as it
+//! exits: no thread ever holds two locks. Results are put back in item
+//! order, so every downstream table is independent of scheduling.
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
 
 /// Items mapped (inline or pooled) — deterministic for a given workload.
 static ITEMS_EXECUTED: obs::LazyCounter = obs::LazyCounter::new("pool.items.executed");
-/// Chunks a worker drained from its own deque.
-static CHUNKS_OWN: obs::LazyCounter = obs::LazyCounter::new("pool.chunks.own");
-/// Chunks a worker stole from a neighbor's deque.
-static CHUNKS_STOLEN: obs::LazyCounter = obs::LazyCounter::new("pool.chunks.stolen");
 /// Workers spawned across all pooled calls.
 static WORKERS_SPAWNED: obs::LazyCounter = obs::LazyCounter::new("pool.workers.spawned");
 /// Chunk sizes in items, sharded per worker.
 static CHUNK_ITEMS: obs::LazyHist = obs::LazyHist::new("pool.chunk.items");
 /// Per-worker wall-clock spent inside `f` (one sample per worker).
 static WORKER_BUSY_NS: obs::LazyHist = obs::LazyHist::new("time.pool.worker.busy.ns");
-/// Per-worker wall-clock spent queueing/stealing/waiting (lifetime − busy).
+/// Per-worker wall-clock spent outside `f` (lifetime − busy).
 static WORKER_IDLE_NS: obs::LazyHist = obs::LazyHist::new("time.pool.worker.idle.ns");
 
 /// Number of worker threads a parallel call will use: the `QNLG_THREADS`
@@ -52,9 +48,77 @@ pub fn thread_count() -> usize {
         .unwrap_or(1)
 }
 
-/// Chunks per worker to create: more gives the stealer finer granularity
-/// when point costs are skewed; fewer keeps queue traffic low.
+/// Chunks per worker to create: more gives idle workers finer
+/// granularity when point costs are skewed; fewer keeps cursor traffic low.
 const CHUNKS_PER_WORKER: usize = 4;
+
+/// The one scheduling loop behind both maps: `f(i)` for every `i` in
+/// `0..len` on up to `threads` scoped workers, results in index order.
+fn run_indexed<R, F>(threads: usize, len: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    ITEMS_EXECUTED.add(len as u64);
+    if threads <= 1 || len <= 1 {
+        // The inline path is its own span on the main track, so a
+        // single-core trace still shows where map time went.
+        trace::span_begin(trace::Track::Main, "pool.map.inline");
+        let out = (0..len).map(f).collect();
+        trace::span_end(trace::Track::Main, "pool.map.inline");
+        return out;
+    }
+    let workers = threads.min(len);
+    let chunk = len.div_ceil(workers * CHUNKS_PER_WORKER);
+
+    // The cursor publishes no data, only disjoint index ranges, so
+    // `Relaxed` suffices; the result lock and the scope's join order results.
+    let cursor = AtomicUsize::new(0);
+    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(len));
+    std::thread::scope(|scope| {
+        for w in 0..workers {
+            let (cursor, collected, f) = (&cursor, &collected, &f);
+            scope.spawn(move || {
+                WORKERS_SPAWNED.inc();
+                // Clocks are read only while obs collection is on; with it
+                // off the accounting is one relaxed bool load per chunk.
+                let timing = obs::enabled();
+                let spawned = timing.then(Instant::now);
+                let mut busy = Duration::ZERO;
+                let mut local: Vec<(usize, R)> = Vec::new();
+                let track = trace::Track::Worker(w as u32);
+                loop {
+                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                    if start >= len {
+                        break;
+                    }
+                    let end = (start + chunk).min(len);
+                    CHUNK_ITEMS.record_shard(w, (end - start) as u64);
+                    let t0 = timing.then(Instant::now);
+                    trace::span_begin(track, "pool.chunk");
+                    for i in start..end {
+                        local.push((i, f(i)));
+                    }
+                    trace::span_end(track, "pool.chunk");
+                    if let Some(t0) = t0 {
+                        busy += t0.elapsed();
+                    }
+                }
+                if let Some(spawned) = spawned {
+                    let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+                    WORKER_BUSY_NS.record_shard(w, ns(busy));
+                    WORKER_IDLE_NS.record_shard(w, ns(spawned.elapsed().saturating_sub(busy)));
+                }
+                collected.lock().expect("result lock").extend(local);
+            });
+        }
+    });
+
+    let mut pairs = collected.into_inner().expect("result lock");
+    debug_assert_eq!(pairs.len(), len);
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    pairs.into_iter().map(|(_, r)| r).collect()
+}
 
 /// Parallel indexed map over a slice with an explicit worker count.
 ///
@@ -67,107 +131,15 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let len = items.len();
-    ITEMS_EXECUTED.add(len as u64);
-    if threads <= 1 || len <= 1 {
-        // The inline path is its own span on the main track, so a
-        // single-core trace still shows where map time went.
-        trace::span_begin(trace::Track::Main, "pool.map.inline");
-        let out = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        trace::span_end(trace::Track::Main, "pool.map.inline");
-        return out;
-    }
-    let workers = threads.min(len);
-    let chunk = len.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-
-    // Per-worker deques of (start, end) index ranges, filled round-robin.
-    let queues: Vec<Mutex<VecDeque<(usize, usize)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (k, start) in (0..len).step_by(chunk).enumerate() {
-        let end = (start + chunk).min(len);
-        queues[k % workers]
-            .lock()
-            .expect("queue lock")
-            .push_back((start, end));
-    }
-
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(len));
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queues = &queues;
-            let collected = &collected;
-            let f = &f;
-            scope.spawn(move || {
-                WORKERS_SPAWNED.inc();
-                // Clocks are read only while obs collection is on; with it
-                // off the accounting is one relaxed bool load per chunk.
-                let timing = obs::enabled();
-                let spawned = timing.then(Instant::now);
-                let mut busy = Duration::ZERO;
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    // Own queue first (front: preserves cache-friendly
-                    // contiguity), then steal from the back of others'.
-                    let mut stolen = false;
-                    let next = queues[w].lock().expect("queue lock").pop_front().or_else(|| {
-                        stolen = true;
-                        (1..workers).find_map(|d| {
-                            queues[(w + d) % workers]
-                                .lock()
-                                .expect("queue lock")
-                                .pop_back()
-                        })
-                    });
-                    let Some((start, end)) = next else { break };
-                    let track = trace::Track::Worker(w as u32);
-                    if stolen {
-                        CHUNKS_STOLEN.inc();
-                        trace::instant_wall(track, "pool.steal");
-                    } else {
-                        CHUNKS_OWN.inc();
-                    }
-                    CHUNK_ITEMS.record_shard(w, (end - start) as u64);
-                    let t0 = timing.then(Instant::now);
-                    trace::span_begin(track, "pool.chunk");
-                    for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                        local.push((i, f(i, item)));
-                    }
-                    trace::span_end(track, "pool.chunk");
-                    if let Some(t0) = t0 {
-                        busy += t0.elapsed();
-                    }
-                }
-                if let Some(spawned) = spawned {
-                    let total = spawned.elapsed();
-                    let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-                    WORKER_BUSY_NS.record_shard(w, ns(busy));
-                    WORKER_IDLE_NS.record_shard(w, ns(total.saturating_sub(busy)));
-                }
-                collected.lock().expect("result lock").extend(local);
-            });
-        }
-    });
-
-    let pairs = collected.into_inner().expect("result lock");
-    debug_assert_eq!(pairs.len(), len);
-    let mut out: Vec<Option<R>> = (0..len).map(|_| None).collect();
-    for (i, r) in pairs {
-        debug_assert!(out[i].is_none(), "index {i} produced twice");
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        .map(|r| r.expect("every index produced exactly once"))
-        .collect()
+    run_indexed(threads, items.len(), |i| f(i, &items[i]))
 }
 
 /// Parallel indexed map over a *mutable* slice with an explicit worker
-/// count: each worker owns one contiguous sub-slice via `chunks_mut`, so
-/// there is no locking (and no stealing) on the work path.
+/// count, on the same chunk-cursor loop as [`par_map_threads`].
 ///
-/// Built for advancing sharded simulator state, where the items are a
-/// handful of equal-cost shard structs rather than thousands of skewed
-/// sweep points — static partitioning is both sufficient and the only
-/// scheme that lets every worker hold `&mut` state without locks.
+/// Built for advancing sharded simulator state. Each item sits behind its
+/// own mutex, which the one worker that claimed its index locks exactly
+/// once, so the lock is never contended and never held beside another.
 /// Results are returned in item order; `threads <= 1` runs inline and is
 /// the reference path for determinism tests.
 pub fn par_map_mut_threads<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
@@ -176,37 +148,9 @@ where
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    let len = items.len();
-    ITEMS_EXECUTED.add(len as u64);
-    if threads <= 1 || len <= 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let workers = threads.min(len);
-    let chunk = len.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for (k, part) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                WORKERS_SPAWNED.inc();
-                CHUNK_ITEMS.record_shard(k, part.len() as u64);
-                let track = trace::Track::Worker(k as u32);
-                trace::span_begin(track, "pool.chunk");
-                let base = k * chunk;
-                let out = part
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(j, t)| f(base + j, t))
-                    .collect::<Vec<R>>();
-                trace::span_end(track, "pool.chunk");
-                out
-            }));
-        }
-        // Joining in spawn order keeps results in item order.
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("par_map_mut worker panicked"))
-            .collect()
+    let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    run_indexed(threads, cells.len(), |i| {
+        f(i, &mut cells[i].lock().expect("item lock"))
     })
 }
 
@@ -308,20 +252,53 @@ mod tests {
 
     #[test]
     fn pool_metrics_record_when_enabled() {
+        let samples = |name| obs::snapshot().hist(name).map_or(0, |h| h.count);
         obs::set_enabled(true);
         let items: Vec<u64> = (0..100).collect();
         let _ = par_map_threads(4, &items, |_, &x| x + 1);
+        let (busy, idle) = (
+            samples("time.pool.worker.busy.ns"),
+            samples("time.pool.worker.idle.ns"),
+        );
+        let mut shards: Vec<u64> = (0..8).collect();
+        let _ = par_map_mut_threads(2, &mut shards, |_, x| *x += 1);
         obs::set_enabled(false);
         let snap = obs::snapshot();
-        assert!(snap.counter("pool.items.executed").unwrap_or(0) >= 100);
-        let chunks = snap.counter("pool.chunks.own").unwrap_or(0)
-            + snap.counter("pool.chunks.stolen").unwrap_or(0);
-        assert!(chunks >= 1, "no chunks accounted");
+        assert!(snap.counter("pool.items.executed").unwrap_or(0) >= 108);
         assert!(snap.hist("pool.chunk.items").is_some_and(|h| h.count >= 1));
+        // The mutable map runs on the same workers, so it is timed too.
+        assert!(samples("time.pool.worker.busy.ns") >= busy + 2);
+        assert!(samples("time.pool.worker.idle.ns") >= idle + 2);
     }
 
     #[test]
-    fn skewed_work_is_stolen() {
+    fn idle_workers_never_deadlock() {
+        // Two items on eight requested workers: both workers run dry at
+        // nearly the same instant on every call, the interleaving that
+        // deadlocks any scheme where a worker holds one lock while taking
+        // another. A hang cannot be joined, so the calls run on their own
+        // thread and the test waits on a channel with a deadline.
+        let (done, finished) = std::sync::mpsc::channel();
+        let calls = std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                assert_eq!(par_map_threads(8, &[1, 2], |_, &x| x + 1), vec![2, 3]);
+                let mut items = [1, 2];
+                let out = par_map_mut_threads(8, &mut items, |_, x| {
+                    *x += 1;
+                    *x
+                });
+                assert_eq!(out, vec![2, 3]);
+            }
+            done.send(()).expect("the test thread is waiting");
+        });
+        finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("20 000 pool calls did not finish within 120 s");
+        calls.join().expect("pool calls panicked");
+    }
+
+    #[test]
+    fn skewed_work_completes_in_order() {
         // One pathologically slow item at index 0; the rest must still
         // complete promptly and in order. (Correctness check — timing is
         // exercised by benches/sweep.rs.)

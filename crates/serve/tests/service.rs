@@ -3,8 +3,15 @@
 
 use qnet::{FaultKind, FaultPlan, LinkSide, SimTime};
 use serve::{ServeConfig, Service, ServiceCore, TIER_QUANTUM};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// Serializes the tests below. Every service flushes its decision
+/// counters into the process-global obs registry when it stops, and
+/// `shutdown_flushes_obs_exactly_once` counts exactly one such flush, so
+/// no other service in this process may stop while it runs. A poisoned
+/// guard only means another test failed, which its own assertion reports.
+static OBS_FLUSH: Mutex<()> = Mutex::new(());
 
 fn base_config(seed: u64) -> ServeConfig {
     ServeConfig {
@@ -19,6 +26,7 @@ fn base_config(seed: u64) -> ServeConfig {
 
 #[test]
 fn fault_soak_trips_the_governor_and_recovers() {
+    let _flush = OBS_FLUSH.lock().unwrap_or_else(|e| e.into_inner());
     // A long outage on both links starves the plane: produced slots must
     // degrade to the classical tier, then return to quantum after the
     // fault clears.
@@ -55,6 +63,7 @@ fn fault_soak_trips_the_governor_and_recovers() {
 #[cfg(unix)]
 #[test]
 fn socket_round_trip_matches_in_process_decisions() {
+    let _flush = OBS_FLUSH.lock().unwrap_or_else(|e| e.into_inner());
     use serve::socket::{Client, SocketServer};
 
     let config = base_config(33);
@@ -103,6 +112,7 @@ fn socket_round_trip_matches_in_process_decisions() {
 
 #[test]
 fn healthy_plane_serves_quantum_overwhelmingly() {
+    let _flush = OBS_FLUSH.lock().unwrap_or_else(|e| e.into_inner());
     let mut core = ServiceCore::new(&base_config(55));
     core.fill_all();
     let mut quantum = 0u64;
@@ -119,6 +129,7 @@ fn healthy_plane_serves_quantum_overwhelmingly() {
 
 #[test]
 fn shutdown_flushes_obs_exactly_once() {
+    let _flush = OBS_FLUSH.lock().unwrap_or_else(|e| e.into_inner());
     obs::set_enabled(true);
     let before = obs::snapshot()
         .counter("qnlg.serve.decisions")
@@ -151,6 +162,7 @@ fn shutdown_flushes_obs_exactly_once() {
 
 #[test]
 fn soak_interrupted_midway_still_yields_complete_summary() {
+    let _flush = OBS_FLUSH.lock().unwrap_or_else(|e| e.into_inner());
     // The SIGINT path in `repro serve --soak` reduces to this: stop
     // consuming at an arbitrary point, shut down, and the summary must
     // still be internally consistent (counters balanced, flush done).
