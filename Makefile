@@ -112,6 +112,7 @@ test-stat:
 	$(CARGO) test -p games --test stat_acceptance -- --nocapture
 	$(CARGO) test -p qnet --test stat_acceptance -- --nocapture
 	$(CARGO) test -p qnet --test topology_stat -- --nocapture
+	$(CARGO) test -p qsim --test werner_stat --test ghz_stat -- --nocapture
 
 # The metro-topology battery: property tests (chain monotonicity,
 # downed-edge avoidance, exact budget conservation, relabeling

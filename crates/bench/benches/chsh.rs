@@ -1,18 +1,20 @@
 //! Ablation bench: sampling one correlated CHSH decision.
 //!
-//! DESIGN.md design-choice #3: the load-balancing simulations sample
-//! correlated decisions from the closed-form CHSH joint distribution
-//! (`games::CorrelationBox`) instead of simulating the 2-qubit
+//! DESIGN.md design-choice #3: the load-balancing paths sample correlated
+//! decisions from the closed-form Werner joint distribution
+//! (`games::chsh::flipped_bits`) instead of simulating the 2-qubit
 //! measurement each round. This bench quantifies the speedup that
-//! justifies the fast path (the strategies' statistical equivalence is
-//! asserted by `loadbalance::strategy` tests).
+//! justifies the fast path against the density-matrix oracles, and
+//! times the XOR-game `games::CorrelationBox` sampler beside it (their
+//! statistical equivalence with the oracle is asserted by
+//! `games/tests/stat_acceptance.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use games::chsh::{alice_angle, bob_angle};
+use games::chsh::{alice_angle, bob_angle, flipped_bits};
 use games::CorrelationBox;
-use qsim::{Party, SharedPair};
+use qsim::{Party, SharedPair, WernerPair};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 fn bench_chsh_round(c: &mut Criterion) {
@@ -50,6 +52,12 @@ fn bench_chsh_round(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(3);
         let boxx = CorrelationBox::chsh_optimal();
         b.iter(|| black_box(boxx.sample(1, 0, &mut rng)))
+    });
+
+    group.bench_function("flipped_bits", |b| {
+        let mut rng = StdRng::seed_from_u64(4);
+        let pair = WernerPair::ideal();
+        b.iter(|| black_box(flipped_bits(&pair, 1, 0, rng.gen())))
     });
 
     group.finish();

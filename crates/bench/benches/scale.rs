@@ -2,8 +2,8 @@
 //!
 //! Three arms at 10⁵ servers, load 1.2, quantum strategy:
 //!
-//! - `aos`: the frozen pre-shard array-of-structs loop
-//!   (`aos::run_simulation_aos`) — the seed implementation's shape.
+//! - `aos`: the array-of-structs `Vec<Server>` loop
+//!   (`sim::run_simulation`) — the seed implementation's shape.
 //! - `soa_single`: the sharded engine pinned to one shard, one worker —
 //!   isolates the data-layout win (SoA lanes, closed-form kernels,
 //!   per-pair streams) from parallelism.
@@ -20,10 +20,9 @@
 //! reduced sample count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use loadbalance::aos::run_simulation_aos;
 use loadbalance::server::Discipline;
 use loadbalance::shard::{default_shards, run_scaled, ScaleConfig, ScaleStrategy};
-use loadbalance::sim::SimConfig;
+use loadbalance::sim::{run_simulation, SimConfig};
 use loadbalance::strategy::Strategy;
 use loadbalance::task::{ArrivalModel, BernoulliWorkload};
 use rand::rngs::StdRng;
@@ -59,10 +58,12 @@ fn bench_scale(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(1);
             b.iter(|| {
                 let mut w = BernoulliWorkload::paper();
-                black_box(
-                    run_simulation_aos(sim_config(n), Strategy::quantum_ideal(), &mut w, &mut rng)
-                        .unwrap(),
-                )
+                black_box(run_simulation(
+                    sim_config(n),
+                    Strategy::quantum_ideal(),
+                    &mut w,
+                    &mut rng,
+                ))
             })
         });
         group.bench_with_input(BenchmarkId::new("soa_single", n), &n, |b, &n| {

@@ -21,7 +21,9 @@
 //! caller's own input.
 
 use crate::error::CoreError;
+use games::chsh::flipped_correlation;
 use games::{AffinityGraph, XorGame};
+use qsim::WernerPair;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -204,16 +206,9 @@ impl CoordinatorBuilder {
 
     /// Builds the two-class (C/E) co-location coordinator of §4.1.
     pub fn build_colocation(self) -> ColocationCoordinator {
-        let v = self.visibility;
-        let f = std::f64::consts::FRAC_1_SQRT_2;
+        let pair = WernerPair::new(self.visibility).expect("visibility validated by the builder");
         // Flipped CHSH: agree (same server) only when both inputs are C.
-        let corr = move |x: usize, y: usize| -> f64 {
-            if x == 1 && y == 1 {
-                v * f
-            } else {
-                -v * f
-            }
-        };
+        let corr = move |x: usize, y: usize| -> f64 { flipped_correlation(&pair, x, y) };
         ColocationCoordinator {
             inner: shared(Box::new(corr), self.seed),
         }

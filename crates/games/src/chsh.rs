@@ -9,10 +9,13 @@
 //! For the load-balancing application (§4.1) the paper flips one party's
 //! output so the pair implements `a ⊕ b = ¬(x ∧ y)`: co-locate (equal
 //! outputs) exactly when both tasks are type-C (`x = y = 1`). Both
-//! variants are provided.
+//! variants are provided, and [`flipped_bits`] is the one sampler every
+//! load-balancing path (sim, shard, pipeline, serve) draws its placement
+//! bits from.
 
 use crate::game::{PairStrategy, TwoPlayerGame};
-use qsim::{Party, SharedPair};
+use qsim::werner::joint_outcome;
+use qsim::{Party, SharedPair, WernerPair};
 use rand::Rng;
 
 /// Which win condition the game uses.
@@ -89,6 +92,64 @@ pub fn bob_angle(y: usize) -> f64 {
     }
 }
 
+/// `(sin 2θ, cos 2θ)` of the optimal angles, indexed `[party][input]`
+/// (party 0 is Alice, 1 is Bob): the exact values `f64::sin_cos` returns
+/// for `2·alice_angle(x)` and `2·bob_angle(y)`, pinned bit for bit by a
+/// unit test. Constants, so no sampler pays for trig per pair or per
+/// round.
+const DOUBLED_ANGLE_TRIG: [[(f64, f64); 2]; 2] = {
+    // sin(π/4) rounds one ulp below cos(π/4) = 1/√2.
+    const SIN_PI_4: f64 = f64::from_bits(0x3fe6_a09e_667f_3bcc);
+    const COS_PI_4: f64 = std::f64::consts::FRAC_1_SQRT_2;
+    // cos of the f64 nearest π/2.
+    const COS_PI_2: f64 = f64::from_bits(0x3c91_a626_3314_5c07);
+    [
+        [(0.0, 1.0), (1.0, COS_PI_2)],
+        [(SIN_PI_4, COS_PI_4), (-SIN_PI_4, COS_PI_4)],
+    ]
+};
+
+/// The ±1 correlation of `pair`'s raw outcomes at the optimal angles for
+/// inputs `(x, y)`: bit-for-bit
+/// `pair.correlation(alice_angle(x), bob_angle(y))`.
+#[inline]
+fn raw_correlation(pair: &WernerPair, x: usize, y: usize) -> f64 {
+    let [alice, bob] = &DOUBLED_ANGLE_TRIG;
+    pair.correlation_trig(alice[usize::from(x != 0)], bob[usize::from(y != 0)])
+}
+
+/// The §4.1 flip: turns raw outcomes `(a, b)` into placement bits
+/// (true → the second candidate server). Alice keeps her bit, Bob negates
+/// his, so the bits match (co-locate) exactly when `a ⊕ b = 1` — which the
+/// optimal angles make likely only for `x = y = 1`.
+#[inline]
+pub fn flip(a: u8, b: u8) -> (bool, bool) {
+    (a == 1, b == 0)
+}
+
+/// The correlation `E[(−1)^{a⊕b} | x, y]` of the *placement* bits
+/// [`flipped_bits`] samples: `+v/√2` for `x = y = 1` and `−v/√2`
+/// otherwise, for a visibility-`v` pair. Dephasing retentions `da·db`
+/// further scale Alice's `x = 1` row, whose basis is off the Z axis.
+pub fn flipped_correlation(pair: &WernerPair, x: usize, y: usize) -> f64 {
+    -raw_correlation(pair, x, y)
+}
+
+/// One flipped-CHSH round on `pair` for inputs `(x, y)`: maps a single
+/// uniform draw `u ∈ [0, 1)` to both placement bits. The pair co-locates
+/// iff the bits are equal, with probability `(1 + C)/2` for the
+/// [`flipped_correlation`] `C`: `1/2 + v√2/4` for `x = y = 1` and
+/// `1/2 − v√2/4` otherwise on an undephased visibility-`v` pair.
+///
+/// This is [`WernerPair::sample`]'s CDF walk ([`joint_outcome`]) plus the
+/// §4.1 [`flip`]. Alice's bit is `u ≥ 1/2` whatever `y` is, so the
+/// sampler is exactly no-signaling.
+#[inline]
+pub fn flipped_bits(pair: &WernerPair, x: usize, y: usize, u: f64) -> (bool, bool) {
+    let (a, b) = joint_outcome(raw_correlation(pair, x, y), u);
+    flip(a, b)
+}
+
 /// The optimal quantum CHSH strategy: one fresh Bell pair per round,
 /// measured at the paper's angles. For the flipped variant Bob negates his
 /// output bit — a purely local post-processing.
@@ -149,7 +210,11 @@ where
         let b = pair
             .measure_angle(Party::B, bob_angle(y), rng)
             .expect("fresh pair, party B unmeasured");
-        (a == 1, (b == 1) ^ self.flip_bob)
+        if self.flip_bob {
+            flip(a, b)
+        } else {
+            (a == 1, b == 1)
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -288,6 +353,38 @@ mod tests {
         let f = ChshGame::flipped();
         assert!(!f.wins(0, 0, true, true));
         assert!(f.wins(1, 1, false, false));
+    }
+
+    #[test]
+    fn trig_table_is_sin_cos_of_the_doubled_angles_bit_for_bit() {
+        let angles: [fn(usize) -> f64; 2] = [alice_angle, bob_angle];
+        for (party, (row, angle)) in DOUBLED_ANGLE_TRIG.iter().zip(angles).enumerate() {
+            for (input, &(s, c)) in row.iter().enumerate() {
+                let (want_s, want_c) = (2.0 * angle(input)).sin_cos();
+                assert_eq!(
+                    s.to_bits(),
+                    want_s.to_bits(),
+                    "sin, party {party} input {input}"
+                );
+                assert_eq!(
+                    c.to_bits(),
+                    want_c.to_bits(),
+                    "cos, party {party} input {input}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_trig_matches_the_kernel_correlation_bit_for_bit() {
+        for (v, da, db) in [(1.0, 1.0, 1.0), (0.93, 0.8, 0.61), (0.0, 1.0, 0.5)] {
+            let pair = WernerPair::with_dephasing(v, da, db).unwrap();
+            for (x, y) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                let kernel = pair.correlation(alice_angle(x), bob_angle(y));
+                assert_eq!(raw_correlation(&pair, x, y).to_bits(), kernel.to_bits());
+                assert_eq!(flipped_correlation(&pair, x, y), -kernel);
+            }
+        }
     }
 
     #[test]

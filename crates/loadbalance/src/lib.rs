@@ -21,15 +21,15 @@
 //!   alternates for the footnote-2 robustness claim.
 //! - [`strategy`]: assignment strategies — uniform random, round-robin,
 //!   power-of-two-choices, classical pairings, dedicated-server hybrid,
-//!   and the quantum CHSH pairing (with exact-simulation and fast
-//!   closed-form sampling modes, plus finite pair availability).
+//!   and the quantum CHSH pairing (finite pair availability and Werner
+//!   visibility, sampled by the one flipped-CHSH sampler
+//!   [`games::chsh::flipped_bits`] that the shard, pipeline and serve
+//!   paths share).
 //! - [`sim`]: the timestep loop of Figure 4 (compatibility path: any
-//!   strategy, caller-supplied RNG, bit-stable historical trajectories).
+//!   strategy, caller-supplied RNG, `Vec<Server>` state).
 //! - [`shard`]: the sharded, structure-of-arrays, batch-advanced engine
 //!   for production-scale runs (1e6 servers), byte-identical at any
 //!   worker/shard count.
-//! - [`aos`]: the frozen pre-shard array-of-structs loop, kept as the
-//!   determinism oracle and the ablation baseline for `benches/scale.rs`.
 //! - [`metrics`]: queue-length and waiting-time statistics, including the
 //!   bounded deterministic wait reservoir.
 //! - [`error`]: typed configuration/engine errors.
@@ -38,7 +38,6 @@
 //!   coordination (and recovers) as the entanglement plane faults and
 //!   heals.
 
-pub mod aos;
 pub mod degrade;
 pub mod error;
 pub mod metrics;
@@ -58,5 +57,5 @@ pub use shard::{run_scaled, ScaleConfig, ScaleStrategy};
 pub use sim::{
     run_simulation, run_simulation_with, try_run_simulation, try_run_simulation_with, SimConfig,
 };
-pub use strategy::{AssignmentStrategy, PairDecision, QuantumMode, Strategy};
+pub use strategy::{AssignmentStrategy, PairDecision, Strategy};
 pub use task::{ArrivalModel, Task, TaskType, Workload};

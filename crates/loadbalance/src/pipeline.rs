@@ -14,7 +14,7 @@
 
 use crate::strategy::AssignmentStrategy;
 use crate::task::TaskType;
-use games::chsh::{alice_angle, bob_angle};
+use games::chsh::{alice_angle, bob_angle, flip, flipped_bits};
 use qnet::{DistributorConfig, EntanglementDistributor, SimTime};
 use qsim::Party;
 use rand::Rng;
@@ -145,7 +145,7 @@ impl PipelinePairedQuantum {
     ///
     /// By default this runs the closed-form Werner kernel
     /// ([`qnet::EntanglementDistributor::take_werner`] +
-    /// [`qsim::WernerPair::sample`]): one RNG draw per round, no density
+    /// [`games::chsh::flipped_bits`]): one RNG draw per round, no density
     /// matrices. `QNLG_EXACT_QSIM=1` routes through the gate-evolution
     /// oracle instead; the two paths sample the same joint distribution
     /// (proven by the `werner_stat` suite) but consume different RNG
@@ -166,12 +166,10 @@ impl PipelinePairedQuantum {
             let b = pair
                 .measure_angle(Party::B, bob_angle(y), rng)
                 .expect("fresh pair");
-            // Flipped game: negate Bob's bit (§4.1).
-            Some((a == 1, b == 0))
+            Some(flip(a, b))
         } else {
             let kernel = self.distributors[pair_idx].take_werner(self.now)?;
-            let (a, b) = kernel.sample(alice_angle(x), bob_angle(y), rng);
-            Some((a == 1, b == 0))
+            Some(flipped_bits(&kernel, x, y, rng.gen()))
         }
     }
 }

@@ -51,6 +51,8 @@ use crate::sim::{
     QUEUE_TOTAL, SIM_RUNS, SIM_STEPS, TASKS_ASSIGNED,
 };
 use crate::task::ArrivalModel;
+use games::chsh::flipped_bits;
+use qsim::WernerPair;
 use runtime::{par_map_mut_threads, stream_seed, SplitMix64};
 use std::collections::VecDeque;
 
@@ -145,9 +147,9 @@ pub enum ScaleStrategy {
     PairedAlwaysSplit,
     /// Paired, match types (`a = x, b = y`).
     PairedMatchTypes,
-    /// Paired, flipped-CHSH quantum box with the closed-form correlated
-    /// sampler: P(same server) = (1 ± v/√2)/2, + exactly when both tasks
-    /// are type-C.
+    /// Paired, flipped CHSH on the Werner kernel
+    /// ([`games::chsh::flipped_bits`]): P(same server) = (1 ± v/√2)/2,
+    /// + exactly when both tasks are type-C.
     PairedQuantum {
         /// Probability a fresh pair is available (misses split).
         availability: f64,
@@ -253,6 +255,14 @@ impl PairShard {
         let switch = model.switch_prob();
         let warmup = cfg.sim.warmup;
         let paired = strategy.is_paired();
+        // The quantum pairing's Werner kernel (visibility validated by
+        // `run_scaled`); unused by the other strategies.
+        let kernel = match strategy {
+            ScaleStrategy::PairedQuantum { visibility, .. } => {
+                WernerPair::new(visibility).expect("validated visibility")
+            }
+            _ => WernerPair::ideal(),
+        };
         let mut assigned = 0u64;
         for t in e0..e1 {
             let off = t - e0;
@@ -300,22 +310,10 @@ impl PairShard {
                             let (a, b) = match strategy {
                                 ScaleStrategy::PairedAlwaysSplit => (false, true),
                                 ScaleStrategy::PairedMatchTypes => (x_c, y_c),
-                                ScaleStrategy::PairedQuantum {
-                                    availability,
-                                    visibility,
-                                } => {
+                                ScaleStrategy::PairedQuantum { availability, .. } => {
                                     if rng.next_f64() < availability {
-                                        // Flipped CHSH, closed form: the
-                                        // pair co-locates with probability
-                                        // (1 + E)/2, E = ±v/√2 (+ for CC).
-                                        let e = if x_c && y_c {
-                                            visibility * std::f64::consts::FRAC_1_SQRT_2
-                                        } else {
-                                            -visibility * std::f64::consts::FRAC_1_SQRT_2
-                                        };
-                                        let same = rng.next_f64() < 0.5 * (1.0 + e);
-                                        let a = rng.next_u64() >> 63 != 0;
-                                        (a, a == same)
+                                        let (x, y) = (usize::from(x_c), usize::from(y_c));
+                                        flipped_bits(&kernel, x, y, rng.next_f64())
                                     } else {
                                         (false, true)
                                     }

@@ -204,11 +204,14 @@ where
 /// Like [`run_simulation_with`], but rejects degenerate configurations
 /// with a typed [`SimError`] instead of panicking mid-run.
 ///
-/// This is the compatibility path: a single-shard, epoch-length-1 advance
-/// that consumes the caller's generator in the exact historical draw
-/// order, so any `(config, strategy, workload, seed)` gives a trajectory
-/// bit-identical to the pre-shard `run_simulation`. The sharded
-/// structure-of-arrays engine for scale runs lives in [`crate::shard`].
+/// This is the compatibility path: a `Vec<Server>` advanced one timestep
+/// at a time, drawing arrivals and assignments from the caller's
+/// generator in a fixed order (every task's arrival, then the strategy's
+/// draws), so a `(config, strategy, workload, seed)` always gives the same
+/// trajectory. It accepts any [`crate::strategy::AssignmentStrategy`],
+/// stateful ones included. The sharded structure-of-arrays engine for
+/// scale runs lives in [`crate::shard`]; it owns per-pair sub-streams, so
+/// its trajectories differ from this loop's draw for draw.
 pub fn try_run_simulation_with<W, R>(
     config: SimConfig,
     strat: &mut dyn crate::strategy::AssignmentStrategy,
@@ -641,6 +644,63 @@ mod tests {
                 min: 1
             }
         );
+    }
+    #[test]
+    fn reservoir_percentiles_are_exact_on_small_runs() {
+        // Below the reservoir capacity (8192 samples) the bounded reservoir
+        // keeps every wait, so percentiles are exactly the full-population
+        // percentiles the unbounded seed implementation reported.
+        let config = SimConfig {
+            n_balancers: 8,
+            n_servers: 7,
+            timesteps: 400,
+            warmup: 100,
+            discipline: Discipline::PaperPairedC,
+        };
+        // 8 balancers x 400 steps = 3200 window tasks at most: under cap.
+        let mut rng = StdRng::seed_from_u64(99);
+        let r = run_simulation(
+            config,
+            Strategy::quantum_ideal(),
+            &mut BernoulliWorkload::paper(),
+            &mut rng,
+        );
+        assert!(r.served <= 8192, "test must stay below reservoir capacity");
+        assert!(r.p50_wait <= r.p99_wait);
+        assert!(r.p99_wait <= r.max_queue_len as f64 * config.warmup as f64 + r.served as f64);
+    }
+
+    #[test]
+    fn on_step_hook_draws_nothing() {
+        // A workload that uses on_step (diurnal) must still leave the rng
+        // stream identical to an equivalent stateless workload making the
+        // same number of draws.
+        use crate::task::DiurnalWorkload;
+        let config = SimConfig {
+            n_balancers: 6,
+            n_servers: 6,
+            timesteps: 100,
+            warmup: 20,
+            discipline: Discipline::PaperPairedC,
+        };
+        // At zero amplitude the period is irrelevant — two generators with
+        // different periods must produce identical trajectories, which they
+        // only can if `on_step` consumes no randomness and the phase clock
+        // never leaks into the draw sequence.
+        let mut flat_a = DiurnalWorkload::new(0.5, 0.0, 50);
+        let mut flat_b = DiurnalWorkload::new(0.5, 0.0, 13);
+        let mut rng_a = StdRng::seed_from_u64(5);
+        let mut rng_b = StdRng::seed_from_u64(5);
+        let a = run_simulation(config, Strategy::quantum_ideal(), &mut flat_a, &mut rng_a);
+        let b = run_simulation(config, Strategy::quantum_ideal(), &mut flat_b, &mut rng_b);
+        // NaN-tolerant equality: `SimResult` holds NaN rates for unpaired
+        // strategies, and NaN != NaN under `PartialEq`.
+        assert_eq!(
+            format!("{a:?}"),
+            format!("{b:?}"),
+            "diurnal(amp=0) period independence"
+        );
+        let _ = Workload::name(&flat_a);
     }
 }
 

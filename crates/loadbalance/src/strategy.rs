@@ -12,27 +12,13 @@
 //! models an *informed* baseline that already pays a communication cost
 //! the others don't. No strategy lets one balancer's input influence
 //! another balancer's output beyond what its pre-shared resource allows;
-//! the quantum pairing inherits this from [`games::CorrelationBox`] /
-//! [`qsim::SharedPair`], whose no-signaling property is tested upstream.
+//! the quantum pairing inherits this from [`games::chsh::flipped_bits`],
+//! whose no-signaling property is tested upstream.
 
 use crate::task::TaskType;
-use games::chsh::{alice_angle, bob_angle};
-use games::CorrelationBox;
-use qmath::RMatrix;
-use qsim::{Party, SharedPair};
+use games::chsh::flipped_bits;
+use qsim::WernerPair;
 use rand::Rng;
-
-/// How the quantum pairing samples its correlated bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuantumMode {
-    /// Full statevector/density-matrix simulation of the Bell-pair
-    /// measurement (slow; the ground truth).
-    ExactSimulation,
-    /// Direct sampling from the closed-form CHSH joint distribution
-    /// (statistically identical for ideal pairs; ~50× faster — see the
-    /// `chsh` benchmark).
-    FastSampling,
-}
 
 /// The outcome of one pair-coordination round (exposed for tests and for
 /// the `qnlg-core` coordinator API).
@@ -78,17 +64,14 @@ pub enum Strategy {
     /// Classical pairing, match-types (`a = x, b = y`): co-locates CC and
     /// splits CE/EC, but collides both Es (fails EE).
     PairedMatchTypes,
-    /// Quantum pairing: flipped CHSH over pre-shared entanglement.
+    /// Quantum pairing: flipped CHSH over pre-shared entanglement,
+    /// sampled on the closed-form Werner kernel
+    /// ([`games::chsh::flipped_bits`]).
     PairedQuantum {
-        /// Sampling mode.
-        mode: QuantumMode,
         /// Probability a fresh pair is available at decision time
         /// (1.0 = ideal pipeline); misses fall back to always-split.
         availability: f64,
         /// Bell-pair visibility (1.0 = perfect, < 1 = Werner noise).
-        /// Only honoured in [`QuantumMode::ExactSimulation`]; fast
-        /// sampling scales the correlation magnitude by the visibility,
-        /// which is the exact Werner-state behaviour.
         visibility: f64,
     },
     /// Hybrid: a fixed fraction of servers is dedicated to type-C tasks;
@@ -100,11 +83,9 @@ pub enum Strategy {
 }
 
 impl Strategy {
-    /// The ideal quantum strategy (fast sampling, full availability,
-    /// perfect pairs).
+    /// The ideal quantum strategy (full availability, perfect pairs).
     pub fn quantum_ideal() -> Self {
         Strategy::PairedQuantum {
-            mode: QuantumMode::FastSampling,
             availability: 1.0,
             visibility: 1.0,
         }
@@ -129,23 +110,15 @@ impl Strategy {
                 decider: Decider::MatchTypes,
             }),
             Strategy::PairedQuantum {
-                mode,
                 availability,
                 visibility,
             } => {
                 assert!((0.0..=1.0).contains(&availability), "bad availability");
-                assert!((0.0..=1.0).contains(&visibility), "bad visibility");
-                let decider = match mode {
-                    QuantumMode::FastSampling => Decider::QuantumBox {
-                        boxx: flipped_chsh_box(visibility),
-                        availability,
-                    },
-                    QuantumMode::ExactSimulation => Decider::QuantumExact {
-                        visibility,
-                        availability,
-                    },
-                };
-                Box::new(Paired { n_servers, decider })
+                let pair = WernerPair::new(visibility).expect("bad visibility");
+                Box::new(Paired {
+                    n_servers,
+                    decider: Decider::Quantum { pair, availability },
+                })
             }
             Strategy::DedicatedServers { dedicated_fraction } => {
                 assert!(
@@ -161,19 +134,6 @@ impl Strategy {
             }
         }
     }
-}
-
-/// The flipped-CHSH correlation box scaled by pair visibility:
-/// `E[(−1)^{a⊕b} | x, y] = v/√2 · (+1 if x∧y else −1)`.
-fn flipped_chsh_box(visibility: f64) -> CorrelationBox {
-    let f = visibility * std::f64::consts::FRAC_1_SQRT_2;
-    CorrelationBox::new(RMatrix::from_fn(2, 2, |x, y| {
-        if x == 1 && y == 1 {
-            f
-        } else {
-            -f
-        }
-    }))
 }
 
 struct UniformRandom {
@@ -264,14 +224,7 @@ impl AssignmentStrategy for PowerOfTwo {
 enum Decider {
     AlwaysSplit,
     MatchTypes,
-    QuantumBox {
-        boxx: CorrelationBox,
-        availability: f64,
-    },
-    QuantumExact {
-        visibility: f64,
-        availability: f64,
-    },
+    Quantum { pair: WernerPair, availability: f64 },
 }
 
 impl Decider {
@@ -282,35 +235,10 @@ impl Decider {
                 a: x == 1,
                 b: y == 1,
             },
-            Decider::QuantumBox { boxx, availability } => {
+            Decider::Quantum { pair, availability } => {
                 if rng.gen::<f64>() < *availability {
-                    let (a, b) = boxx.sample(x, y, rng);
+                    let (a, b) = flipped_bits(pair, x, y, rng.gen());
                     PairDecision { a, b }
-                } else {
-                    PairDecision { a: false, b: true }
-                }
-            }
-            Decider::QuantumExact {
-                visibility,
-                availability,
-            } => {
-                if rng.gen::<f64>() < *availability {
-                    let mut pair = if *visibility >= 1.0 {
-                        SharedPair::ideal()
-                    } else {
-                        SharedPair::werner(*visibility).expect("validated visibility")
-                    };
-                    let a = pair
-                        .measure_angle(Party::A, alice_angle(x), rng)
-                        .expect("fresh pair");
-                    let b = pair
-                        .measure_angle(Party::B, bob_angle(y), rng)
-                        .expect("fresh pair");
-                    // Flip Bob's bit: implements a⊕b = ¬(x∧y) (§4.1).
-                    PairDecision {
-                        a: a == 1,
-                        b: b == 0,
-                    }
                 } else {
                     PairDecision { a: false, b: true }
                 }
@@ -322,8 +250,7 @@ impl Decider {
         match self {
             Decider::AlwaysSplit => "paired-always-split",
             Decider::MatchTypes => "paired-match-types",
-            Decider::QuantumBox { .. } => "paired-quantum",
-            Decider::QuantumExact { .. } => "paired-quantum-exact",
+            Decider::Quantum { .. } => "paired-quantum",
         }
     }
 }
@@ -506,36 +433,9 @@ mod tests {
     }
 
     #[test]
-    fn exact_simulation_matches_fast_sampling() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut fast = Strategy::quantum_ideal().build(4);
-        let mut exact = Strategy::PairedQuantum {
-            mode: QuantumMode::ExactSimulation,
-            availability: 1.0,
-            visibility: 1.0,
-        }
-        .build(4);
-        let trials = 8_000;
-        for tasks in [[C, C], [C, E], [E, E]] {
-            let mut same_fast = 0usize;
-            let mut same_exact = 0usize;
-            for _ in 0..trials {
-                let a = fast.assign_all(&tasks, &lens(4), &mut rng);
-                same_fast += usize::from(a[0] == a[1]);
-                let a = exact.assign_all(&tasks, &lens(4), &mut rng);
-                same_exact += usize::from(a[0] == a[1]);
-            }
-            let diff =
-                (same_fast as f64 - same_exact as f64).abs() / trials as f64;
-            assert!(diff < 0.03, "{tasks:?}: fast vs exact differ by {diff}");
-        }
-    }
-
-    #[test]
     fn zero_availability_degenerates_to_split() {
         let mut rng = StdRng::seed_from_u64(8);
         let mut s = Strategy::PairedQuantum {
-            mode: QuantumMode::FastSampling,
             availability: 0.0,
             visibility: 1.0,
         }
@@ -550,7 +450,6 @@ mod tests {
     fn degraded_visibility_weakens_correlation() {
         let mut rng = StdRng::seed_from_u64(9);
         let mut s = Strategy::PairedQuantum {
-            mode: QuantumMode::FastSampling,
             availability: 1.0,
             visibility: 0.0, // fully depolarized: coin-flip correlation
         }

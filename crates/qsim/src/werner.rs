@@ -101,8 +101,15 @@ impl WernerPair {
 
     /// The ±1-outcome correlation `E(θa, θb)` (see module docs).
     pub fn correlation(&self, theta_a: f64, theta_b: f64) -> f64 {
-        let (s2a, c2a) = (2.0 * theta_a).sin_cos();
-        let (s2b, c2b) = (2.0 * theta_b).sin_cos();
+        self.correlation_trig((2.0 * theta_a).sin_cos(), (2.0 * theta_b).sin_cos())
+    }
+
+    /// [`WernerPair::correlation`] from precomputed `(sin 2θ, cos 2θ)`
+    /// of each angle — the same float expression, so callers with fixed
+    /// angles can hoist the trig out of their hot loop and still get a
+    /// bit-identical `E`.
+    #[inline]
+    pub fn correlation_trig(&self, (s2a, c2a): (f64, f64), (s2b, c2b): (f64, f64)) -> f64 {
         self.visibility * (c2a * c2b + self.retain_a * self.retain_b * s2a * s2b)
     }
 
@@ -116,22 +123,9 @@ impl WernerPair {
     }
 
     /// Samples the joint outcome of measuring both halves at `(θa, θb)`
-    /// with a single RNG draw, walking the exact 4-entry CDF
-    /// `(1+E)/4, 1/2, (3−E)/4, 1` (the middle boundary is exactly 1/2
-    /// because the marginals are uniform).
+    /// with a single RNG draw (see [`joint_outcome`]).
     pub fn sample<R: Rng + ?Sized>(&self, theta_a: f64, theta_b: f64, rng: &mut R) -> (u8, u8) {
-        let e = self.correlation(theta_a, theta_b);
-        let agree = 0.25 * (1.0 + e);
-        let u: f64 = rng.gen();
-        if u < agree {
-            (0, 0)
-        } else if u < 0.5 {
-            (0, 1)
-        } else if u < 0.5 + 0.25 * (1.0 - e) {
-            (1, 0)
-        } else {
-            (1, 1)
-        }
+        joint_outcome(self.correlation(theta_a, theta_b), rng.gen())
     }
 
     /// Builds the *oracle* state this kernel claims to sample: the
@@ -152,6 +146,22 @@ impl WernerPair {
         }
         Ok(rho)
     }
+}
+
+/// Maps one uniform draw `u ∈ [0, 1)` to the joint outcome `(a, b)` of a
+/// pair with correlation `e`, walking the exact 4-entry CDF
+/// `(1+E)/4, 1/2, (3−E)/4, 1` (the middle boundary is exactly 1/2
+/// because the marginals are uniform). Written as three compares and no
+/// branches; the result is the first CDF interval containing `u`, for
+/// any `e`.
+#[inline]
+pub fn joint_outcome(e: f64, u: f64) -> (u8, u8) {
+    let below_agree = u < 0.25 * (1.0 + e);
+    let below_half = u < 0.5;
+    let below_differ = u < 0.5 + 0.25 * (1.0 - e);
+    let a = !below_agree & !below_half;
+    let b = !below_agree & (below_half | !below_differ);
+    (u8::from(a), u8::from(b))
 }
 
 /// Whether `QNLG_EXACT_QSIM=1` is set: routes Werner-pair consumers back

@@ -12,7 +12,10 @@
 //! simulator's shortcut, not a protocol change: each table entry is an
 //! exact sample of the joint outcome distribution *at those angles*, and
 //! exactly one entry is ever consumed per pair, so no-signaling is
-//! respected — the discarded entries are counterfactuals.)
+//! respected — the discarded entries are counterfactuals.) Each entry is
+//! one [`flipped_bits`] draw, the flipped-CHSH sampler the simulation
+//! engines share, so a served decision and a simulated round map the
+//! same `(pair, x, y, u)` to the same placement bits.
 //!
 //! ## Determinism
 //!
@@ -25,6 +28,7 @@
 //! cannot change a single drawn bit, which is what lets a soak run's
 //! canonical artifact stay byte-identical across `QNLG_THREADS`.
 
+use games::chsh::flipped_bits;
 use loadbalance::degrade::CoordinationMode;
 use qsim::werner::WernerPair;
 use runtime::{stream_seed, SplitMix64};
@@ -128,41 +132,16 @@ fn draw_candidates(n_servers: u32, rng: &mut SplitMix64) -> (u32, u32) {
     (s0, s1)
 }
 
-/// Samples the flipped-CHSH outcome bits for one input combination from
-/// the pair's exact joint CDF (`(1+E)/4, 1/2, (3−E)/4, 1` — the same
-/// walk as [`WernerPair::sample`], driven by a [`SplitMix64`] draw).
-#[inline]
-fn sample_outcome(pair: &WernerPair, theta_a: f64, theta_b: f64, rng: &mut SplitMix64) -> u8 {
-    let e = pair.correlation(theta_a, theta_b);
-    let u = rng.next_f64();
-    let (a, b) = if u < 0.25 * (1.0 + e) {
-        (0u8, 0u8)
-    } else if u < 0.5 {
-        (0, 1)
-    } else if u < 0.5 + 0.25 * (1.0 - e) {
-        (1, 0)
-    } else {
-        (1, 1)
-    };
-    // Flipped game (§4.1): Alice's placement bit is a == 1, Bob's is
-    // b == 0 — same mapping as loadbalance::pipeline::coordinate.
-    (a == 1) as u8 | (((b == 0) as u8) << 1)
-}
-
 /// Draws a quantum-tier slot from a consumed pair: one candidate draw
-/// plus one exact joint sample per input combination (6 RNG draws
+/// plus one [`flipped_bits`] sample per input combination (6 RNG draws
 /// total, all from the slot's own sub-stream).
 pub fn draw_quantum(seq: u64, n_servers: u32, pair: &WernerPair, rng: &mut SplitMix64) -> DecisionSlot {
     let (s0, s1) = draw_candidates(n_servers, rng);
     let mut outcomes = [0u8; 4];
     for x in 0..2usize {
         for y in 0..2usize {
-            outcomes[(x << 1) | y] = sample_outcome(
-                pair,
-                games::chsh::alice_angle(x),
-                games::chsh::bob_angle(y),
-                rng,
-            );
+            let (a, b) = flipped_bits(pair, x, y, rng.next_f64());
+            outcomes[(x << 1) | y] = u8::from(a) | (u8::from(b) << 1);
         }
     }
     DecisionSlot {
